@@ -10,13 +10,13 @@
 //                world is regrown to 4 *while the jitter is still armed*
 //                (grow-under-fire) and must end in bit-exact replica
 //                lockstep.
-//   dap        — blocking collectives (dap.all_gather, dap.all_reduce,
-//                dap.reduce_scatter, dap.all_to_all) plus the chunked
-//                async transpose (dap.transpose_launch, dap.transpose_wait)
-//                under mixed weather (kills, throws, delays): a dying rank
-//                aborts the communicator, survivors must throw in bounded
-//                time, and after recover() a clean round must produce
-//                correct sums and a bit-exact transpose round trip.
+//   dap        — blocking collectives (dap.all_gather, dap.all_reduce)
+//                plus the chunked async transpose (dap.transpose_launch,
+//                dap.transpose_wait) under mixed weather (kills, throws,
+//                delays): a dying rank aborts the communicator, survivors
+//                must throw in bounded time, and after recover() a clean
+//                round must produce correct sums and a bit-exact
+//                transpose round trip.
 //   loader     — PrefetchLoader under transient loader.prep failures and a
 //                loader.worker.kill: every batch still delivered exactly
 //                once.
@@ -191,8 +191,8 @@ LegResult run_dap_leg(uint64_t seed) {
   weather.max_fires_per_site = 2;
   weather.max_skip_hits = 8;
   fault::install(fault::random_schedule(
-      {"dap.all_gather", "dap.all_reduce", "dap.reduce_scatter",
-       "dap.all_to_all", "dap.transpose_launch", "dap.transpose_wait"},
+      {"dap.all_gather", "dap.all_reduce", "dap.transpose_launch",
+       "dap.transpose_wait"},
       weather));
 
   dap::Communicator comm(n);
@@ -215,10 +215,6 @@ LegResult run_dap_leg(uint64_t seed) {
         std::vector<float> chunk(2, static_cast<float>(rank));
         std::vector<float> gathered(2 * n);
         comm.all_gather(rank, chunk, gathered);
-        std::vector<float> full(2 * n, 1.0f), slice(2);
-        comm.reduce_scatter_sum(rank, full, slice);
-        std::vector<float> send(n, static_cast<float>(rank)), recv(n);
-        comm.all_to_all(rank, send, recv);
         // Chunked async transpose there-and-back: hits the
         // dap.transpose_launch / dap.transpose_wait sites.
         dap::AsyncTransposer tr(comm, rank, /*full_a=*/4, /*full_b=*/4,

@@ -18,7 +18,11 @@
 // The chaos seed comes from the SF_SEED environment variable (default
 // 2024) so CI can pin the weather.
 //
-// Output: BENCH_elastic.json (override with --out <path>).
+// Output: BENCH_elastic.json (override with --out <path>). Each row
+// carries only the figures its scenario measures: steady a step time;
+// kill_shrink the pre/post step times, dip, recovery and losses;
+// shrink_grow the post-regrow step time and the slowest resize; chaos the
+// losses, the slowest recovery and the bitwise-replay verdict.
 //
 // --check: exit non-zero if any scenario loses replica lockstep, if the
 // kill recovery latency is unbounded (> 10 s on this toy model), if more
@@ -31,6 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,19 +112,23 @@ std::vector<float> param_snapshot(train::DataParallelTrainer& dp) {
   return out;
 }
 
+/// One scenario's figures. Every row has the world sizes, step count and
+/// lockstep verdict; the optional figures are set only by the scenarios
+/// that measure them, and unset ones are left out of the artifact.
 struct Row {
   std::string scenario;
   int ws_start = 0;
   int ws_end = 0;
   int steps = 0;
-  int steps_lost = 0;
-  int ranks_lost = 0;
-  double pre_step_s = 0;
-  double post_step_s = 0;
-  double recovery_s = 0;
-  double dip = 0;  ///< post/pre step-time ratio
   bool lockstep = false;
-  bool bitwise_replay = true;  ///< only meaningful for chaos
+  std::optional<int> steps_lost;
+  std::optional<int> ranks_lost;
+  std::optional<double> step_s;       ///< steady-state mean step time
+  std::optional<double> pre_step_s;   ///< mean step time before the event
+  std::optional<double> post_step_s;  ///< mean step time after the event
+  std::optional<double> recovery_s;
+  std::optional<double> dip;  ///< post/pre step-time ratio
+  std::optional<bool> bitwise_replay;
 };
 
 void write_json(const std::vector<Row>& rows, uint64_t seed,
@@ -130,16 +139,36 @@ void write_json(const std::vector<Row>& rows, uint64_t seed,
     const Row& r = rows[i];
     f << "  {\"scenario\": \"" << r.scenario << "\", \"seed\": " << seed
       << ", \"ws_start\": " << r.ws_start << ", \"ws_end\": " << r.ws_end
-      << ", \"steps\": " << r.steps << ", \"steps_lost\": " << r.steps_lost
-      << ", \"ranks_lost\": " << r.ranks_lost
-      << ", \"pre_step_s\": " << r.pre_step_s
-      << ", \"post_step_s\": " << r.post_step_s
-      << ", \"recovery_s\": " << r.recovery_s << ", \"dip\": " << r.dip
-      << ", \"lockstep\": " << (r.lockstep ? "true" : "false")
-      << ", \"bitwise_replay\": " << (r.bitwise_replay ? "true" : "false")
-      << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+      << ", \"steps\": " << r.steps
+      << ", \"lockstep\": " << (r.lockstep ? "true" : "false");
+    auto put = [&f](const char* key, const auto& v) {
+      if (v) f << ", \"" << key << "\": " << *v;
+    };
+    put("steps_lost", r.steps_lost);
+    put("ranks_lost", r.ranks_lost);
+    put("step_s", r.step_s);
+    put("pre_step_s", r.pre_step_s);
+    put("post_step_s", r.post_step_s);
+    put("recovery_s", r.recovery_s);
+    put("dip", r.dip);
+    if (r.bitwise_replay) {
+      f << ", \"bitwise_replay\": " << (*r.bitwise_replay ? "true" : "false");
+    }
+    f << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   f << "]\n";
+}
+
+// Console-table cells: "-" where the scenario does not measure the figure.
+std::string show_ms(std::optional<double> seconds) {
+  if (!seconds) return "-";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2f", *seconds * 1e3);
+  return buf;
+}
+
+std::string show(std::optional<int> v) {
+  return v ? std::to_string(*v) : "-";
 }
 
 constexpr int kPreSteps = 3;
@@ -156,8 +185,7 @@ Row run_steady(const std::vector<data::Batch>& batches) {
     if (s > 0) total += r.seconds;
     ++row.steps;
   }
-  row.pre_step_s = row.post_step_s = total / (row.steps - 1);
-  row.dip = 1.0;
+  row.step_s = total / (row.steps - 1);
   row.lockstep = lockstep_ok(dp);
   return row;
 }
@@ -195,7 +223,7 @@ Row run_kill_shrink(const std::vector<data::Batch>& batches) {
     ++row.steps;
   }
   row.post_step_s = post / kPostSteps;
-  row.dip = row.pre_step_s > 0 ? row.post_step_s / row.pre_step_s : 0.0;
+  row.dip = *row.pre_step_s > 0 ? *row.post_step_s / *row.pre_step_s : 0.0;
   row.ws_end = dp.world_size();
   row.lockstep = lockstep_ok(dp);
   return row;
@@ -222,11 +250,12 @@ Row run_shrink_grow(const std::vector<data::Batch>& batches) {
     post += r.seconds;
     ++row.steps;
   }
-  row.post_step_s = row.pre_step_s = post / kPostSteps;
-  row.dip = 1.0;
+  row.post_step_s = post / kPostSteps;
+  double slowest = 0.0;
   for (const auto& ev : dp.elastic_events()) {
-    row.recovery_s = std::max(row.recovery_s, ev.recovery_seconds);
+    slowest = std::max(slowest, ev.recovery_seconds);
   }
+  row.recovery_s = slowest;
   row.ws_end = dp.world_size();
   row.lockstep = lockstep_ok(dp);
   return row;
@@ -348,14 +377,16 @@ int main(int argc, char** argv) {
   std::printf("elastic world-size bench (SF_SEED=%" PRIu64 ")\n\n", seed);
   for (const Row& r : rows) {
     std::printf(
-        "%-12s ws %d->%d  steps %2d (lost %d, ranks lost %d)  "
-        "step %7.2f -> %7.2f ms  recovery %6.2f ms  %s%s\n",
-        r.scenario.c_str(), r.ws_start, r.ws_end, r.steps, r.steps_lost,
-        r.ranks_lost, r.pre_step_s * 1e3, r.post_step_s * 1e3,
-        r.recovery_s * 1e3, r.lockstep ? "lockstep-ok" : "DIVERGED",
-        r.scenario == "chaos"
-            ? (r.bitwise_replay ? " replay-bitwise-ok" : " REPLAY-MISMATCH")
-            : "");
+        "%-12s ws %d->%d  steps %2d (lost %s, ranks lost %s)  "
+        "step %7s | %7s -> %7s ms  recovery %6s ms  %s%s\n",
+        r.scenario.c_str(), r.ws_start, r.ws_end, r.steps,
+        show(r.steps_lost).c_str(), show(r.ranks_lost).c_str(),
+        show_ms(r.step_s).c_str(), show_ms(r.pre_step_s).c_str(),
+        show_ms(r.post_step_s).c_str(), show_ms(r.recovery_s).c_str(),
+        r.lockstep ? "lockstep-ok" : "DIVERGED",
+        !r.bitwise_replay    ? ""
+        : *r.bitwise_replay  ? " replay-bitwise-ok"
+                             : " REPLAY-MISMATCH");
   }
 
   write_json(rows, seed, out_path);
@@ -376,24 +407,24 @@ int main(int argc, char** argv) {
                    ks.ws_end);
       ++failures;
     }
-    if (ks.steps_lost > 1) {
+    if (*ks.steps_lost > 1) {
       std::fprintf(stderr,
                    "FAIL: kill_shrink lost %d steps; only the in-flight "
                    "step may be discarded\n",
-                   ks.steps_lost);
+                   *ks.steps_lost);
       ++failures;
     }
-    if (ks.recovery_s > 10.0) {
+    if (*ks.recovery_s > 10.0) {
       std::fprintf(stderr,
                    "FAIL: kill recovery latency unbounded (%.2f s)\n",
-                   ks.recovery_s);
+                   *ks.recovery_s);
       ++failures;
     }
-    if (ks.post_step_s > 3.0 * ks.pre_step_s) {
+    if (*ks.post_step_s > 3.0 * *ks.pre_step_s) {
       std::fprintf(stderr,
                    "FAIL: post-recovery step time %.2f ms not within 3x of "
                    "pre-kill %.2f ms\n",
-                   ks.post_step_s * 1e3, ks.pre_step_s * 1e3);
+                   *ks.post_step_s * 1e3, *ks.pre_step_s * 1e3);
       ++failures;
     }
     const Row& sg = rows[2];
@@ -402,7 +433,7 @@ int main(int argc, char** argv) {
       ++failures;
     }
     const Row& ch = rows[3];
-    if (!ch.bitwise_replay) {
+    if (!ch.bitwise_replay.value_or(false)) {
       std::fprintf(stderr,
                    "FAIL: chaos run is not bitwise replayable from seed "
                    "%" PRIu64 "\n",

@@ -4,76 +4,93 @@
 // of the paper-scale architecture plus the unfused optimizer's
 // per-parameter-tensor kernel storm.
 //
-// The measured section at the bottom no longer reads the executor's
-// bespoke ExecStats accumulator: a real (mini-scale) op stream is run
-// through the eager executor with tracing on, and the census is rebuilt
-// from the recorded trace events (stats_from_trace) — the same substrate
-// Fig. 8/Fig. 9 traces come from. Set SCALEFOLD_TRACE_FILE to also dump
-// the raw trace.json of that execution.
+// The measured section at the bottom times the real training step: a few
+// steady Trainer::train_step calls at the default TrainingSession shapes
+// run with tracing on, and each group's share of the `train/step` span is
+// summed from the recorded `kernel` spans (GEMM and attention are
+// math-bounded; LayerNorm, softmax, bias+GELU, the fused optimizer and
+// grad-norm are memory-bounded). Set SCALEFOLD_TRACE_FILE to also dump the
+// raw trace.json of those steps.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "graph/executor.h"
-#include "kernels/gemm.h"
-#include "kernels/layernorm.h"
+#include "core/session.h"
+#include "data/protein_sample.h"
+#include "model/alphafold.h"
 #include "obs/trace.h"
 #include "sim/workload.h"
+#include "train/trainer.h"
 
 using namespace sf::sim;
 
 namespace {
 
-/// Mini op stream shaped like one Evoformer block's census: the per-block
-/// template counts, each op doing real work of its category (small GEMM /
-/// fused LayerNorm / buffer copy).
-struct MiniBlock {
-  std::vector<float> a, b, c, gamma, beta, buf, buf2;
-  sf::graph::Program program;
+constexpr int kWarmupSteps = 2;
+constexpr int kTracedSteps = 3;
 
-  MiniBlock() {
-    using sf::graph::OpKind;
-    const int64_t n = 64, cols = 64, rows = 64;
-    sf::Rng rng(11);
-    a.resize(n * n);
-    b.resize(n * n);
-    c.resize(n * n);
-    sf::fill_normal(rng, a.data(), a.size(), 0.0f, 1.0f);
-    sf::fill_normal(rng, b.data(), b.size(), 0.0f, 1.0f);
-    gamma.assign(cols, 1.0f);
-    beta.assign(cols, 0.0f);
-    buf.resize(rows * cols);
-    sf::fill_normal(rng, buf.data(), buf.size(), 0.0f, 1.0f);
-    buf2.resize(rows * cols);
+bool starts_with(const std::string& s, const char* prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
 
-    const KernelCensus block = census_evoformer_block();
-    for (int64_t i = 0; i < block.math_calls; ++i) {
-      program.add_op("gemm" + std::to_string(i), OpKind::kMath,
-                     2ull * n * n * n, 3ull * n * n * 4, [this, n] {
-                       sf::kernels::gemm(a.data(), b.data(), c.data(), n, n,
-                                         n);
-                     });
-    }
-    for (int64_t i = 0; i < block.mem_calls; ++i) {
-      program.add_op("layernorm" + std::to_string(i), OpKind::kMemoryBound,
-                     0, 2ull * rows * cols * 4, [this, rows, cols] {
-                       sf::kernels::layernorm_forward_fused(
-                           buf.data(), gamma.data(), beta.data(),
-                           buf2.data(), rows, cols, 1e-5f, nullptr);
-                     });
-    }
-    for (int64_t i = 0; i < block.memop_calls; ++i) {
-      program.add_op("copy" + std::to_string(i), OpKind::kMemOp, 0,
-                     2ull * rows * cols * 4, [this] {
-                       std::memcpy(buf2.data(), buf.data(),
-                                   buf.size() * sizeof(float));
-                     });
+/// Table 1 row of a kernel span name; nullptr for a kernel no row claims.
+const char* census_group(const std::string& name) {
+  if (starts_with(name, "gemm") || starts_with(name, "qkv_gemm") ||
+      starts_with(name, "mha_")) {
+    return "Math-bounded";
+  }
+  if (starts_with(name, "ln_") || starts_with(name, "softmax_") ||
+      name == "fused_bias_gelu" || name == "fused_adam_swa" ||
+      starts_with(name, "grad_norm_")) {
+    return "Memory-bounded";
+  }
+  return nullptr;
+}
+
+struct MeasuredCensus {
+  double step_us = 0.0;
+  std::map<std::string, double> group_us;    ///< by census_group()
+  std::map<std::string, int64_t> group_spans;
+  double other_kernel_us = 0.0;  ///< kernels no row claims
+};
+
+/// Outermost kernel spans on each step's own thread, clipped to the step:
+/// a kernel that calls another (qkv_gemm_separate calls gemm) counts once.
+MeasuredCensus census_from_trace(const std::vector<sf::obs::TraceEvent>& ev) {
+  MeasuredCensus m;
+  std::vector<const sf::obs::TraceEvent*> steps, kernels;
+  for (const auto& e : ev) {
+    if (e.dur_us < 0.0) continue;
+    const std::string cat = e.category;
+    if (cat == "train" && e.name == "step") steps.push_back(&e);
+    if (cat == "kernel") kernels.push_back(&e);
+  }
+  std::sort(kernels.begin(), kernels.end(),
+            [](const auto* a, const auto* b) { return a->ts_us < b->ts_us; });
+  for (const auto* step : steps) {
+    const double lo = step->ts_us, hi = step->ts_us + step->dur_us;
+    m.step_us += step->dur_us;
+    double open_end = -1.0;
+    for (const auto* k : kernels) {
+      if (k->track != step->track || k->ts_us < lo || k->ts_us >= hi ||
+          k->ts_us < open_end) {
+        continue;
+      }
+      open_end = k->ts_us + k->dur_us;
+      const double us = std::min(open_end, hi) - k->ts_us;
+      if (const char* g = census_group(k->name)) {
+        m.group_us[g] += us;
+        ++m.group_spans[g];
+      } else {
+        m.other_kernel_us += us;
+      }
     }
   }
-};
+  return m;
+}
 
 }  // namespace
 
@@ -120,40 +137,51 @@ int main() {
   row("outer product mean", census_outer_product_mean());
   row("one full Evoformer block", census_evoformer_block());
 
-  // ---- Measured: census rebuilt from trace events ----------------------
-  // One Evoformer block's worth of real (mini) kernels through the eager
-  // executor; every dispatch and kernel body is a trace span, and the
-  // census below is aggregated from those spans alone.
-  sf::obs::set_trace_enabled(true);
-  sf::obs::reset();
-  MiniBlock mini;
-  sf::graph::Executor exec;
-  exec.run_eager(mini.program);
+  // ---- Measured: the real training step's kernel spans -----------------
+  sf::core::ScaleFoldOptions o;
+  o.sync_dims();
+  const sf::data::SyntheticProteinDataset dataset(o.dataset);
+  sf::model::MiniAlphaFold net(o.model, o.seed);
+  sf::train::Trainer trainer(net, o.train);
+  const int steps = kWarmupSteps + kTracedSteps;
+  for (int i = 0; i < steps; ++i) {
+    if (i == kWarmupSteps) {
+      sf::obs::set_trace_enabled(true);
+      sf::obs::reset();
+    }
+    trainer.train_step(dataset.prepare_batch(i % dataset.size()));
+  }
   const std::vector<sf::obs::TraceEvent> events = sf::obs::snapshot();
-  const sf::graph::ExecStats traced = sf::graph::stats_from_trace(events);
   sf::obs::set_trace_enabled(false);
+  const MeasuredCensus m = census_from_trace(events);
 
-  const double total_s = traced.total_seconds();
-  std::printf("\n--- Measured census from trace events (one mini Evoformer "
-              "block, eager) ---\n");
-  std::printf("%-18s | %15s | %10s\n", "Kernel Type", "Runtime(%) meas",
+  std::printf("\n--- Measured census from trace events (%d steady "
+              "train_step calls, default session shapes) ---\n",
+              kTracedSteps);
+  std::printf("%-22s | %15s | %10s\n", "Kernel Type", "Runtime(%) meas",
               "#Spans");
-  auto traced_row = [&](const char* name, sf::graph::OpKind kind) {
-    auto it = traced.by_kind.find(kind);
-    const double secs = it == traced.by_kind.end() ? 0.0 : it->second.seconds;
-    const uint64_t calls = it == traced.by_kind.end() ? 0 : it->second.calls;
-    std::printf("%-18s | %15.2f | %10llu\n", name, 100.0 * secs / total_s,
-                static_cast<unsigned long long>(calls));
-  };
-  std::printf("%-18s | %15.2f | %10llu\n", "CPU Overhead",
-              100.0 * traced.dispatch_seconds / total_s,
-              static_cast<unsigned long long>(traced.total_launches));
-  traced_row("Math-bounded", sf::graph::OpKind::kMath);
-  traced_row("Memory-bounded", sf::graph::OpKind::kMemoryBound);
-  traced_row("Memory-operation", sf::graph::OpKind::kMemOp);
-  std::printf("(%zu trace events; launch counts match the per-block "
-              "template by construction)\n",
-              events.size());
+  double in_kernels_us = m.other_kernel_us;
+  for (const char* g : {"Math-bounded", "Memory-bounded"}) {
+    const auto it = m.group_us.find(g);
+    const double us = it == m.group_us.end() ? 0.0 : it->second;
+    const auto n = m.group_spans.find(g);
+    in_kernels_us += us;
+    std::printf("%-22s | %15.2f | %10lld\n", g, 100.0 * us / m.step_us,
+                static_cast<long long>(n == m.group_spans.end() ? 0
+                                                                : n->second));
+  }
+  std::printf("%-22s | %15s | %10s\n", "Memory-operation", "not measured",
+              "-");
+  if (m.other_kernel_us > 0.0) {
+    std::printf("%-22s | %15.2f | %10s\n", "Other kernels",
+                100.0 * m.other_kernel_us / m.step_us, "-");
+  }
+  std::printf("%-22s | %15.2f | %10s\n", "In no kernel span",
+              100.0 * (m.step_us - in_kernels_us) / m.step_us, "-");
+  std::printf("(shares of %.1f ms of train/step spans; no copy/fill span "
+              "exists, so memory operations fall in \"no kernel span\", with "
+              "elementwise autograd ops, einsums and tape bookkeeping)\n",
+              m.step_us * 1e-3);
 
   if (const char* env = std::getenv("SCALEFOLD_TRACE_FILE");
       env && *env) {

@@ -132,36 +132,6 @@ void Communicator::all_reduce_sum(int rank, std::span<float> buf) {
   barrier_locked(lock);
 }
 
-void Communicator::reduce_scatter_sum(int rank, std::span<const float> full,
-                                      std::span<float> out) {
-  SF_TRACE_SPAN_ID("dap", "reduce_scatter", rank);
-  SF_CHECK(rank >= 0 && rank < n_);
-  SF_FAULT_POINT("dap.reduce_scatter", rank);
-  SF_CHECK(full.size() % n_ == 0);
-  const size_t slice = full.size() / n_;
-  SF_CHECK(out.size() == slice);
-  std::unique_lock<std::mutex> lock(mu_);
-  send_ptr_[rank] = full.data();
-  count_[rank] = full.size();
-  if (rank == 0) {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.collectives;
-    stats_.bytes_scattered += sizeof(float) * slice * (n_ - 1);
-  }
-  barrier_locked(lock);
-  SF_CHECK(count_[0] == full.size()) << "reduce_scatter size mismatch";
-  lock.unlock();
-  // Each rank reduces its own slice across all ranks, rank order.
-  const size_t begin = slice * rank;
-  for (size_t i = 0; i < slice; ++i) {
-    float acc = 0.0f;
-    for (int r = 0; r < n_; ++r) acc += send_ptr_[r][begin + i];
-    out[i] = acc;
-  }
-  lock.lock();
-  barrier_locked(lock);
-}
-
 void Communicator::start_comm_thread_locked() {
   if (!comm_thread_.joinable()) {
     comm_thread_ = std::thread([this] { comm_thread_main(); });
@@ -228,7 +198,7 @@ Communicator::AsyncHandle Communicator::all_to_all_async(
   SF_TRACE_SPAN_ID("dap", "all_to_all_async_launch", rank);
   SF_CHECK(rank >= 0 && rank < n_);
   SF_CHECK(send.size() == recv.size());
-  SF_CHECK(send.size() % n_ == 0) << "all_to_all needs equal chunks";
+  SF_CHECK(send.size() % n_ == 0) << "all_to_all_async needs equal chunks";
   if (n_ == 1) {
     // Identity exchange: complete inline, no thread involved.
     std::memcpy(recv.data(), send.data(), sizeof(float) * send.size());
@@ -388,8 +358,8 @@ void Communicator::comm_thread_main() {
     try {
       if (op == AsyncSlot::Op::kExchange) {
         SF_TRACE_SPAN_ID("dap", "async_exchange", slot->tag);
-        // Same wiring as the blocking all_to_all: recv[dst] chunk src =
-        // send[src] chunk dst. Pure data movement — bitwise-free.
+        // recv[dst] chunk src = send[src] chunk dst. Pure data movement —
+        // bitwise-free.
         const size_t chunk = len / n_;
         for (int dst = 0; dst < n_; ++dst) {
           for (int src = 0; src < n_; ++src) {
@@ -427,35 +397,6 @@ void Communicator::comm_thread_main() {
     }
     async_cv_.notify_all();
   }
-}
-
-void Communicator::all_to_all(int rank, std::span<const float> send,
-                              std::span<float> recv) {
-  SF_TRACE_SPAN_ID("dap", "all_to_all", rank);
-  SF_CHECK(rank >= 0 && rank < n_);
-  SF_FAULT_POINT("dap.all_to_all", rank);
-  SF_CHECK(send.size() == recv.size());
-  SF_CHECK(send.size() % n_ == 0) << "all_to_all needs equal chunks";
-  const size_t chunk = send.size() / n_;
-  std::unique_lock<std::mutex> lock(mu_);
-  send_ptr_[rank] = send.data();
-  count_[rank] = send.size();
-  if (rank == 0) {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.collectives;
-    stats_.bytes_exchanged += sizeof(float) * chunk * (n_ - 1);
-  }
-  barrier_locked(lock);
-  SF_CHECK(count_[0] == send.size()) << "all_to_all size mismatch";
-  lock.unlock();
-  for (int r = 0; r < n_; ++r) {
-    // Receive chunk destined for `rank` from rank r.
-    std::memcpy(recv.data() + static_cast<size_t>(r) * chunk,
-                send_ptr_[r] + static_cast<size_t>(rank) * chunk,
-                sizeof(float) * chunk);
-  }
-  lock.lock();
-  barrier_locked(lock);
 }
 
 }  // namespace sf::dap

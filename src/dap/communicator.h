@@ -64,20 +64,6 @@ class Communicator {
   /// deterministic.
   void all_reduce_sum(int rank, std::span<float> buf);
 
-  /// Rank r's `send` is split into world_size equal chunks; chunk j goes
-  /// to rank j. On return `recv` holds, in rank order, the chunks destined
-  /// for this rank.
-  void all_to_all(int rank, std::span<const float> send,
-                  std::span<float> recv);
-
-  /// Reduce-scatter: element-wise sum of every rank's `full` buffer, of
-  /// which this rank receives only its own 1/world_size slice in `out`
-  /// (full.size() % world_size == 0). Half the volume of an all-reduce —
-  /// the §2.3 "communication optimization opportunity" DAP enables when
-  /// the consumer of a reduction is itself sharded.
-  void reduce_scatter_sum(int rank, std::span<const float> full,
-                          std::span<float> out);
-
   // ---- Non-blocking all-reduce ------------------------------------------
 
   struct AsyncSlot;
@@ -115,16 +101,18 @@ class Communicator {
   AsyncHandle all_reduce_sum_async(int rank, std::span<float> buf,
                                    int64_t tag = -1);
 
-  /// Non-blocking all-to-all: like all_to_all, but deposits the buffers
-  /// and returns immediately. `send` and `recv` must be distinct, stay
-  /// alive and untouched until wait() returns. Matched across ranks by
+  /// Non-blocking all-to-all: rank r's `send` is split into world_size
+  /// equal chunks and chunk j goes to rank j; on completion `recv` holds,
+  /// in rank order, the chunks destined for this rank. Deposits the
+  /// buffers and returns immediately; `send` and `recv` must be distinct,
+  /// stay alive and untouched until wait() returns. Matched across ranks by
   /// the same per-rank launch index as the async all-reduce (one shared
   /// sequence — every rank must issue all async collectives in the same
   /// order); `tag` and sizes are cross-checked. The exchange runs on the
   /// communicator thread once the last rank deposits, overlapping the
   /// callers' compute — this is what lets the sharded Evoformer overlap
   /// axis-transpose communication with attention compute (DESIGN.md §14).
-  /// Pure data movement: result bits match the blocking all_to_all.
+  /// Pure data movement: no arithmetic touches the payload.
   AsyncHandle all_to_all_async(int rank, std::span<const float> send,
                                std::span<float> recv, int64_t tag = -1);
 
@@ -156,10 +144,8 @@ class Communicator {
     uint64_t bytes_gathered = 0;
     uint64_t bytes_reduced = 0;
     uint64_t bytes_exchanged = 0;
-    uint64_t bytes_scattered = 0;
     uint64_t total_bytes() const {
-      return bytes_gathered + bytes_reduced + bytes_exchanged +
-             bytes_scattered;
+      return bytes_gathered + bytes_reduced + bytes_exchanged;
     }
   };
   /// Aggregate over all ranks since construction.

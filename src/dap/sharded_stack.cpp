@@ -25,14 +25,6 @@ double now_s() {
       .count();
 }
 
-std::pair<int64_t, int64_t> chunk_bounds(int64_t total, int64_t chunks,
-                                         int64_t t) {
-  const int64_t base = total / chunks;
-  const int64_t rem = total % chunks;
-  const int64_t begin = t * base + std::min(t, rem);
-  return {begin, begin + base + (t < rem ? 1 : 0)};
-}
-
 /// Contiguous leading-axis slice [row0, row0+rows) as a fresh tensor.
 Tensor slice_rows(const Tensor& full, int64_t row0, int64_t rows) {
   Shape s = full.shape();
@@ -181,14 +173,15 @@ AsyncTransposer::~AsyncTransposer() {
 }
 
 std::pair<int64_t, int64_t> AsyncTransposer::chunk_cols(int64_t t) const {
-  return chunk_bounds(lb_, chunks_, t);
+  const ChunkRange r = sf::detail::chunk_bounds(lb_, chunks_, t);
+  return {r.begin, r.end};
 }
 
 void AsyncTransposer::launch(const Tensor& shard) {
   SF_CHECK(shard.numel() == la_ * b_ * c_) << "transpose shard size";
   const float* sd = shard.data();
   for (int64_t t = 0; t < chunks_; ++t) {
-    auto [t0, t1] = chunk_bounds(lb_, chunks_, t);
+    auto [t0, t1] = chunk_cols(t);
     const int64_t cbt = t1 - t0;
     send_[t] = Tensor({n_ * cbt * la_ * c_});
     recv_[t] = Tensor({n_ * cbt * la_ * c_});
@@ -220,7 +213,7 @@ Tensor AsyncTransposer::wait_chunk(int64_t t) {
   const double w1 = now_s();
   blocked_s_ += w1 - w0;
   span_s_ += w1 - launch_ts_[t];
-  auto [t0, t1] = chunk_bounds(lb_, chunks_, t);
+  auto [t0, t1] = chunk_cols(t);
   const int64_t cbt = t1 - t0;
   Tensor out({cbt, a_, c_});
   const float* rd = recv_[t].data();
@@ -235,7 +228,7 @@ Tensor AsyncTransposer::wait_chunk(int64_t t) {
 }
 
 void AsyncTransposer::launch_back(int64_t t, const Tensor& chunk) {
-  auto [t0, t1] = chunk_bounds(lb_, chunks_, t);
+  auto [t0, t1] = chunk_cols(t);
   const int64_t cbt = t1 - t0;
   SF_CHECK(chunk.numel() == cbt * a_ * c_) << "transpose back-chunk size";
   back_send_[t] = Tensor({n_ * cbt * la_ * c_});
@@ -266,7 +259,7 @@ void AsyncTransposer::collect_back(Tensor& out) {
     const double w1 = now_s();
     blocked_s_ += w1 - w0;
     span_s_ += w1 - back_launch_ts_[t];
-    auto [t0, t1] = chunk_bounds(lb_, chunks_, t);
+    auto [t0, t1] = chunk_cols(t);
     const int64_t cbt = t1 - t0;
     const float* rd = back_recv_[t].data();
     for (int64_t r = 0; r < n_; ++r) {

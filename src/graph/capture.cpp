@@ -9,8 +9,6 @@
 namespace sf::graph {
 namespace {
 
-thread_local const char* t_phase = "";
-
 struct MemplanObs {
   obs::Counter& captures =
       obs::Registry::global().counter("memplan.captures");
@@ -28,14 +26,6 @@ MemplanObs& memplan_obs() {
 
 }  // namespace
 
-CapturePhase::CapturePhase(const char* name) : prev_(t_phase) {
-  t_phase = name;
-}
-
-CapturePhase::~CapturePhase() { t_phase = prev_; }
-
-const char* CapturePhase::current() { return t_phase; }
-
 RecordingAllocator::RecordingAllocator() = default;
 
 float* RecordingAllocator::allocate(int64_t numel) {
@@ -46,7 +36,6 @@ float* RecordingAllocator::allocate(int64_t numel) {
     life.id = static_cast<int64_t>(lifetimes_.size());
     life.numel = numel;
     life.def_tick = tick_++;
-    life.phase = t_phase;
     live_.emplace(p, life.id);
     lifetimes_.push_back(life);
   }
@@ -178,7 +167,6 @@ void StepPlanner::run(const std::function<void()>& fn) {
     }
     std::vector<BufferLife> lifetimes = recorder->take_lifetimes();
     MemoryPlan plan = MemoryPlanner(align_bytes_).plan(lifetimes);
-    program_ = capture_program(lifetimes);
     stats_.planned_buffers = plan.num_buffers() - plan.num_escaping();
     stats_.escaping_buffers = plan.num_escaping();
     stats_.arena_bytes = plan.arena_bytes;

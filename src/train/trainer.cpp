@@ -154,14 +154,12 @@ StepResult Trainer::step_impl(std::span<const data::Batch> batches,
   for (const auto& batch : batches) {
     model::ModelOutput out = [&] {
       SF_TRACE_SPAN_ID("train", "forward", batch.index);
-      graph::CapturePhase phase("forward");
       return net_.forward(batch, result.recycles, /*compute_loss=*/true);
     }();
     // Scale so accumulated grads average over the local batch.
     autograd::Var scaled = autograd::scale(out.loss, inv_b);
     {
       SF_TRACE_SPAN_ID("train", "backward", batch.index);
-      graph::CapturePhase phase("backward");
       autograd::backward(scaled);
     }
     loss_acc += out.loss.value().at(0);
@@ -192,7 +190,6 @@ StepResult Trainer::step_impl(std::span<const data::Batch> batches,
 
   {
     SF_TRACE_SPAN("train", "optimizer");
-    graph::CapturePhase phase("optimizer");
     opt_.step(current_lr_scale());
   }
   result.grad_norm = opt_.last_grad_norm();

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/timer.h"
@@ -225,9 +226,24 @@ TEST(Loader, ConsumerThroughputReadyFirstBeatsInOrderUnderStraggler) {
     }
     return t.elapsed();
   };
-  double blocking = run(YieldPolicy::kInOrder);
-  double ready = run(YieldPolicy::kReadyFirst);
-  EXPECT_LT(ready, blocking * 1.05);
+  // One run is one noisy sample on a loaded host: interleave several
+  // pairs, alternating which policy goes first, and compare medians.
+  constexpr int kPairs = 5;
+  std::vector<double> blocking, ready;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    if (pair % 2 == 0) {
+      blocking.push_back(run(YieldPolicy::kInOrder));
+      ready.push_back(run(YieldPolicy::kReadyFirst));
+    } else {
+      ready.push_back(run(YieldPolicy::kReadyFirst));
+      blocking.push_back(run(YieldPolicy::kInOrder));
+    }
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  EXPECT_LT(median(ready), median(blocking) * 1.05);
 }
 
 

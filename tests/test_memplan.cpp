@@ -149,19 +149,6 @@ TEST(MemoryPlanner, ValidateCatchesCorruptPlans) {
   EXPECT_FALSE(MemoryPlanner::validate(bad, lives, &err));
 }
 
-TEST(MemoryPlanner, CaptureProgramCarriesBufferIdsAndPhases) {
-  auto lives = make_lives({{16, 0, 2}, {8, 1, 3}});
-  lives[0].phase = "forward";
-  graph::Program prog = graph::capture_program(lives);
-  ASSERT_EQ(prog.size(), 2u);
-  EXPECT_EQ(prog.ops()[0].name, "forward.def.0");
-  EXPECT_EQ(prog.ops()[0].buf_id, 0);
-  EXPECT_EQ(prog.ops()[0].buf_numel, 16);
-  EXPECT_EQ(prog.ops()[0].kind, graph::OpKind::kMemOp);
-  EXPECT_EQ(prog.ops()[1].name, "unphased.def.1");
-  EXPECT_EQ(prog.ops()[1].buf_id, 1);
-}
-
 // ---- Fuzz: random op DAG lifetimes -> plan -> poisoned replay --------------
 
 struct FuzzTrace {

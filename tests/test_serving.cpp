@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/session.h"
@@ -301,9 +303,16 @@ TEST(Serving, ParamShapesAreCropInvariant) {
 
 TEST(Serving, EveryAdmittedRequestAnsweredExactlyOnce) {
   Service svc(tiny_serve(), tiny_data(), tiny_model());
-  const int n = 12;
-  for (int i = 0; i < n; ++i) svc.submit(i % 6);  // repeats exercise cache
-  auto responses = svc.wait_all();
+  // Two waves of the same 6 samples; the second wave's repeats exercise
+  // the cache. The waves are apart because two feature workers racing on
+  // one key may both miss (first insert wins), which would make the cache
+  // counts below depend on thread scheduling.
+  const int distinct = 6, n = 2 * distinct;
+  std::vector<Response> responses;
+  for (int wave = 0; wave < 2; ++wave) {
+    for (int i = 0; i < distinct; ++i) svc.submit(i);
+    for (auto& r : svc.wait_all()) responses.push_back(std::move(r));
+  }
   ASSERT_EQ(responses.size(), static_cast<size_t>(n));
   std::set<int64_t> ids;
   for (const auto& r : responses) {

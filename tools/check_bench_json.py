@@ -135,10 +135,38 @@ def check_overlap(doc, path, errors):
         if isinstance(ws, int):
             prev[mode] = ws
 
+ELASTIC_COMMON = {"scenario": str, "seed": int, "ws_start": int,
+                  "ws_end": int, "steps": int, "lockstep": bool}
+# The figures each bench_elastic scenario measures. A row must carry
+# exactly these on top of the common fields: a figure its scenario never
+# measured would be a placeholder, not a measurement.
+ELASTIC_MEASURED = {
+    "steady": {"step_s": NUM},
+    "kill_shrink": {"steps_lost": int, "ranks_lost": int, "pre_step_s": NUM,
+                    "post_step_s": NUM, "recovery_s": NUM, "dip": NUM},
+    "shrink_grow": {"post_step_s": NUM, "recovery_s": NUM},
+    "chaos": {"steps_lost": int, "ranks_lost": int, "recovery_s": NUM,
+              "bitwise_replay": bool},
+}
+
 def check_elastic(doc, path, errors):
-    check_row_list(doc, path, errors,
-                   {"scenario": str, "ws_start": int, "ws_end": int,
-                    "steps": int, "lockstep": bool}, "elastic rows")
+    check_row_list(doc, path, errors, ELASTIC_COMMON, "elastic rows")
+    if not isinstance(doc, list):
+        return
+    for i, row in enumerate(doc):
+        if not isinstance(row, dict):
+            continue
+        scenario = row.get("scenario")
+        measured = ELASTIC_MEASURED.get(scenario)
+        if measured is None:
+            fail(errors, path, f"[{i}] has unknown scenario {scenario!r}")
+            continue
+        where = f"[{i}] ({scenario})"
+        require(row, measured, where, path, errors)
+        for name in sorted(set(row) - set(ELASTIC_COMMON) - set(measured)):
+            fail(errors, path,
+                 f"{where} carries '{name}', which its scenario does not "
+                 f"measure")
 
 def check_chaos_matrix(doc, path, errors):
     if not isinstance(doc, dict):
